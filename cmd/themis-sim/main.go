@@ -193,7 +193,8 @@ func runMotivation(args []string) error {
 		return err
 	}
 	res, err := themis.RunMotivation(themis.MotivationConfig{
-		Seed: *seed, MessageBytes: *bytes, Transport: tr,
+		ClusterConfig: themis.ClusterConfig{Seed: *seed, Transport: tr},
+		MessageBytes:  *bytes,
 	})
 	if err != nil {
 		return err
@@ -243,12 +244,15 @@ func runCollective(args []string) error {
 		return err
 	}
 	res, err := themis.RunCollective(themis.CollectiveConfig{
-		Seed: *seed, Pattern: p, MessageBytes: *bytes,
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		Bandwidth: int64(*bw * 1e9),
-		LB:        lbMode,
-		TI:        sim.Duration(*ti) * sim.Microsecond,
-		TD:        sim.Duration(*td) * sim.Microsecond,
+		ClusterConfig: themis.ClusterConfig{
+			Seed:   *seed,
+			Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
+			Bandwidth: int64(*bw * 1e9),
+			LB:        lbMode,
+			TI:        sim.Duration(*ti) * sim.Microsecond,
+			TD:        sim.Duration(*td) * sim.Microsecond,
+		},
+		Pattern: p, MessageBytes: *bytes,
 	})
 	if err != nil {
 		return err
@@ -318,7 +322,7 @@ func runScenario(args []string) error {
 	hosts := fs.Int("hosts", 0, "hosts per leaf")
 	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
 	shards := fs.Int("shards", 0, "space-parallel engine shards (0 = classic single engine; results are byte-identical for any value)")
-	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
+	fatTreeK := fs.Int("fattree-k", 0, "fat-tree radix k (0 = leaf-spine; spray defaults to 4)")
 	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
 	concurrency := fs.Int("concurrency", 0, "churn: flows open at a time (0 = workload default)")
 	faults := fs.Bool("faults", false, "churn: inject seeded ToR reboots and a link flap")
@@ -555,8 +559,8 @@ func runChaos(args []string) error {
 		return err
 	}
 	opt := themis.ChaosOptions{
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		Flows: *flows, MessageBytes: *bytes,
+		ClusterConfig: themis.ClusterConfig{Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts},
+		Flows:         *flows, MessageBytes: *bytes,
 		FlightDir: *flightDir,
 	}
 	results, err := themis.ChaosSoak(*seed, *seeds, opt)

@@ -27,12 +27,14 @@ func main() {
 	var ar, th float64
 	for _, arm := range themis.Fig5Arms() {
 		res, err := themis.RunCollective(themis.CollectiveConfig{
-			Seed:         1,
+			ClusterConfig: themis.ClusterConfig{
+				Seed: 1,
+				LB:   arm,
+				TI:   themis.Duration(*ti) * themis.Microsecond,
+				TD:   themis.Duration(*td) * themis.Microsecond,
+			},
 			Pattern:      themis.Allreduce,
 			MessageBytes: *bytes,
-			LB:           arm,
-			TI:           themis.Duration(*ti) * themis.Microsecond,
-			TD:           themis.Duration(*td) * themis.Microsecond,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -25,10 +25,9 @@ func main() {
 	var ar, th float64
 	for _, arm := range themis.Fig5Arms() {
 		res, err := themis.RunCollective(themis.CollectiveConfig{
-			Seed:         1,
-			Pattern:      themis.AllToAll,
-			MessageBytes: *bytes,
-			LB:           arm,
+			ClusterConfig: themis.ClusterConfig{Seed: 1, LB: arm},
+			Pattern:       themis.AllToAll,
+			MessageBytes:  *bytes,
 		})
 		if err != nil {
 			log.Fatal(err)

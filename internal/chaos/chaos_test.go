@@ -7,6 +7,7 @@ import (
 	"themis/internal/sim"
 	"themis/internal/topo"
 	"themis/internal/trace"
+	"themis/internal/workload"
 )
 
 func testTopo(t *testing.T) *topo.Topology {
@@ -108,7 +109,7 @@ func TestLinkFlapRecordsTraceAndRecovers(t *testing.T) {
 	sc := Scenario{Seed: 3, Faults: []Fault{
 		{Kind: LinkFlap, At: 20 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
-	res, err := RunScenario(sc, Options{Tracer: tr})
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTorRebootRecovery(t *testing.T) {
 		{Kind: TorReboot, At: 40 * sim.Microsecond, Sw: 0},
 		{Kind: DropRate, At: 10 * sim.Microsecond, Duration: 150 * sim.Microsecond, Sw: 0, Port: 2, Rate: 0.01},
 	}}
-	res, err := RunScenario(sc, Options{Tracer: tr})
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"themis/internal/sim"
+	"themis/internal/workload"
 )
 
 func TestConvergenceFaultKindStrings(t *testing.T) {
@@ -82,10 +83,10 @@ func TestDrainFaultTargetsUplink(t *testing.T) {
 func TestDrainScenarioGraceful(t *testing.T) {
 	tp := testTopo(t)
 	sc := Scenario{Seed: 21, Faults: []Fault{DrainFault(tp)}}
-	res, err := RunScenario(sc, Options{
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{
 		DistributedRouting: true,
 		ConvergenceDelay:   10 * sim.Microsecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +107,10 @@ func TestFlapStormSlowConvergenceRecovers(t *testing.T) {
 	sc := Scenario{Seed: 23, Faults: []Fault{
 		{Kind: FlapStorm, At: 20 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
-	res, err := RunScenario(sc, Options{
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{
 		DistributedRouting: true,
 		ConvergenceDelay:   25 * sim.Microsecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +123,10 @@ func TestUplinkLossShrinksThenRecovers(t *testing.T) {
 	sc := Scenario{Seed: 29, Faults: []Fault{
 		{Kind: UplinkLoss, At: 30 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 1},
 	}}
-	res, err := RunScenario(sc, Options{
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{
 		DistributedRouting: true,
 		ConvergenceDelay:   10 * sim.Microsecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestDelayZeroDistributedIdenticalToOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := RunScenario(sc, Options{DistributedRouting: true})
+		dist, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{DistributedRouting: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,10 +173,10 @@ func goodputGbps(res *Result) float64 {
 // schedules: reconvergence windows may hurt, but never wedge.
 func TestConvergenceSoak(t *testing.T) {
 	const seeds = 50
-	opt := Options{
+	opt := Options{ClusterConfig: workload.ClusterConfig{
 		DistributedRouting: true,
 		ConvergenceDelay:   20 * sim.Microsecond,
-	}
+	}}
 	dist, err := SoakConvergence(1, seeds, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -11,38 +11,27 @@ import (
 	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/topo"
-	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
 // Options parameterizes the scenario harness. The defaults are a small
 // cross-rack workload on a 3×3 leaf-spine — big enough for every fault kind
 // to matter, small enough that a 50-seed soak stays cheap.
+//
+// The embedded ClusterConfig describes the cluster, except for the hardening
+// the harness pins whatever it says (see Cluster): the seed comes from
+// each run's Scenario, the control class is lossy, the RTO backs off
+// exponentially, the middleware runs with relearn under a roomy table budget
+// (ThemisCfg is replaced), and DropEveryNData is cleared because the
+// injector owns the fabric loss hook. Its LB zero value means "harness
+// default" (Themis) unless LBSet marks an explicit choice — workload.ECMP is
+// the LBMode zero value, so a flag is needed to ask for it.
 type Options struct {
-	Leaves, Spines, HostsPerLeaf int
-	Bandwidth                    int64
-	Flows                        int          // cross-rack ring flows (default one per host)
-	MessageBytes                 int64        // per-flow transfer (default 2 MB)
-	Horizon                      sim.Duration // wall guard (default 2 s virtual)
-	Shards                       int          // drive via the shard coordinator (see workload.ClusterConfig.Shards)
-	// LB selects the spray arm; the zero value means "harness default"
-	// (Themis) unless LBSet marks an explicit choice — workload.ECMP is the
-	// LBMode zero value, so a flag is needed to ask for it.
-	LB    workload.LBMode
-	LBSet bool
-	// RepsCache / PathBuckets tune the REPS and congestion-aware arms
-	// (zero = workload defaults); ignored by the other arms.
-	RepsCache   int
-	PathBuckets int
-	// DistributedRouting runs the per-switch BGP-style control plane instead
-	// of the routing oracle; ConvergenceDelay is its per-hop message delay
-	// (see internal/route).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	Tracer             *trace.Tracer
-	// Metrics, if non-nil, is the shared registry cluster components register
-	// their gauges on (see internal/obs).
-	Metrics *obs.Registry
+	workload.ClusterConfig
+	LBSet        bool
+	Flows        int          // cross-rack ring flows (default Leaves×HostsPerLeaf)
+	MessageBytes int64        // per-flow transfer (default 2 MB)
+	Horizon      sim.Duration // wall guard (default 2 s virtual)
 	// FlightDir, if non-empty, arms a flight recorder: the run records into a
 	// bounded ring (capacity FlightCapacity, default obs.DefaultFlightCapacity)
 	// and, when any invariant is violated, dumps the retained window to
@@ -95,41 +84,33 @@ type Result struct {
 	FlightDump string
 }
 
-// BuildCluster assembles the hardened cluster the harness runs scenarios
-// against: Themis with lazy state relearning, exponential RTO backoff on the
+// Cluster returns the hardened cluster the harness runs a scenario with this
+// seed on: Themis with lazy state relearning, exponential RTO backoff on the
 // NICs, a lossy control class so control-plane faults are injectable, and a
 // finite (but roomy: 4 entries per flow) §4 flow-table budget so the soak
 // exercises real SRAM accounting — the budget invariant is meaningful, while
 // the steady workload itself never deserves an eviction.
-// Exported so the CLI and benchmarks run exactly what the soak tests run.
-func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
-	opt = opt.withDefaults()
-	budget := core.TableBudget(memmodel.Params{
-		Bandwidth: opt.Bandwidth,
+func (o Options) Cluster(seed int64) workload.ClusterConfig {
+	o = o.withDefaults()
+	c := o.ClusterConfig
+	c.Seed = seed
+	c.LossyControl = true
+	c.RTO, c.RTOBackoff, c.RTOMax = 200*sim.Microsecond, 2, 10*sim.Millisecond
+	c.ThemisCfg = core.Config{Relearn: true, TableBudgetBytes: core.TableBudget(memmodel.Params{
+		Bandwidth: c.Bandwidth,
 		RTTLast:   2 * sim.Microsecond, // two 1 us last-hop links
 		MTU:       1500,
 		Factor:    1.5,
-	}, 4*opt.Flows)
-	return workload.BuildCluster(workload.ClusterConfig{
-		Seed:               sc.Seed,
-		Shards:             opt.Shards,
-		Leaves:             opt.Leaves,
-		Spines:             opt.Spines,
-		HostsPerLeaf:       opt.HostsPerLeaf,
-		Bandwidth:          opt.Bandwidth,
-		LB:                 opt.LB,
-		RepsCache:          opt.RepsCache,
-		PathBuckets:        opt.PathBuckets,
-		LossyControl:       true,
-		RTO:                200 * sim.Microsecond,
-		RTOBackoff:         2,
-		RTOMax:             10 * sim.Millisecond,
-		DistributedRouting: opt.DistributedRouting,
-		ConvergenceDelay:   opt.ConvergenceDelay,
-		ThemisCfg:          core.Config{Relearn: true, TableBudgetBytes: budget},
-		Tracer:             opt.Tracer,
-		Metrics:            opt.Metrics,
-	})
+	}, 4*o.Flows)}
+	c.DropEveryNData = 0
+	return c
+}
+
+// BuildCluster assembles the hardened cluster of Options.Cluster for the
+// scenario. Exported so the CLI and benchmarks run exactly what the soak
+// tests run.
+func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
+	return workload.BuildCluster(opt.Cluster(sc.Seed))
 }
 
 // RunScenario executes one scenario: build the hardened cluster, install the

@@ -27,7 +27,7 @@ func blackholeScenario(seed int64) Scenario {
 func TestREPSRecoversFasterThanRPSUnderBlackhole(t *testing.T) {
 	const seeds = 50
 	run := func(mode workload.LBMode) (mean sim.Duration) {
-		opt := Options{LB: mode, LBSet: true, MessageBytes: 256 << 10}
+		opt := Options{ClusterConfig: workload.ClusterConfig{LB: mode}, LBSet: true, MessageBytes: 256 << 10}
 		var total sim.Duration
 		for seed := int64(1); seed <= seeds; seed++ {
 			res, err := RunScenario(blackholeScenario(seed), opt)

@@ -19,23 +19,31 @@ import (
 	"themis/internal/core"
 	"themis/internal/rnic"
 	"themis/internal/sim"
+	"themis/internal/topo"
 	"themis/internal/workload"
 )
 
-// Workload names the experiment family a scenario runs.
+// Workload names the experiment family a scenario runs. Every workload builds
+// its cluster from the same lowered ClusterConfig (Scenario.cluster) and
+// honours every Scenario field except its own pins, listed below, and the
+// shape fields of other workloads (Pattern, Groups, Senders, Flows, ...).
 type Workload string
 
 const (
 	// Motivation is the §2.2 Fig. 1 study: two 4-node ring groups spraying
-	// over a fixed 4×4×2 leaf-spine at 100 Gbps. Topology fields are ignored.
+	// over a fixed 4×4×2 leaf-spine at 100 Gbps. Pins: Leaves, Spines,
+	// HostsPerLeaf, FatTreeK and Bandwidth.
 	Motivation Workload = "motivation"
 	// Collective is the §5 Fig. 5 evaluation: synchronized collective groups
-	// spanning all racks of a leaf-spine.
+	// spanning all racks of a leaf-spine (a FatTreeK scenario fails).
 	Collective Workload = "collective"
 	// Incast is the many-to-one stress test (Senders flows into host 0).
+	// Pins: Leaves, Spines, HostsPerLeaf and FatTreeK (one host per rack).
 	Incast Workload = "incast"
 	// Chaos is a fault-injection soak run: the fault schedule is generated
-	// from the seed (see internal/chaos), and invariants are checked.
+	// from the seed (see internal/chaos), and invariants are checked. Pins
+	// the harness hardening — LossyControl, RTO, RTOBackoff, RTOMax, Themis
+	// and DropEveryNData (see chaos.Options) — and LB unless LBArmed.
 	Chaos Workload = "chaos"
 	// Churn is the flow-lifecycle stress: a stream of short-lived cross-rack
 	// QPs (QPs total, Concurrency at a time) against a bounded flow table,
@@ -46,11 +54,13 @@ const (
 	// drains) and the cluster runs the distributed per-switch control plane
 	// with ConvergenceDelay per hop, so forwarding during the windows uses
 	// honestly stale FIBs. Invariants (including FIB convergence and zero
-	// steady-state loop drops) are checked.
+	// steady-state loop drops) are checked. Pins what Chaos pins, except
+	// that the LB arm is always armed.
 	Convergence Workload = "convergence"
 	// Spray is the space-parallel fat-tree permutation (workload.RunSpray):
-	// the only workload whose trial genuinely runs on multiple shards. Uses
-	// FatTreeK instead of the leaf-spine fields.
+	// the only workload whose trial genuinely runs on multiple shards. Pins
+	// Leaves, Spines and HostsPerLeaf (fat-tree only); settings the sharded
+	// network cannot honour fail the trial.
 	Spray Workload = "spray"
 )
 
@@ -117,12 +127,12 @@ type Scenario struct {
 	TI        sim.Duration       `json:"ti,omitempty"`      // DCQCN sweep knobs
 	TD        sim.Duration       `json:"td,omitempty"`
 
-	// Topology family (leaf-spine; ignored by Motivation, which pins the
-	// paper's 4×4×2 fabric).
+	// Topology family: leaf-spine unless FatTreeK > 0 (see the Workload
+	// constants for the workloads that pin their own).
 	Leaves       int          `json:"leaves,omitempty"`
 	Spines       int          `json:"spines,omitempty"`
 	HostsPerLeaf int          `json:"hosts_per_leaf,omitempty"`
-	FatTreeK     int          `json:"fat_tree_k,omitempty"` // spray only
+	FatTreeK     int          `json:"fat_tree_k,omitempty"`
 	Bandwidth    int64        `json:"bandwidth,omitempty"`
 	LinkDelay    sim.Duration `json:"link_delay,omitempty"`
 
@@ -156,8 +166,8 @@ type Scenario struct {
 	// Middleware ablation knobs.
 	Themis ThemisKnobs `json:"themis,omitempty"`
 
-	// Declarative faults. Chaos scenarios generate their own schedule from
-	// the seed and ignore these.
+	// Declarative faults. Chaos and convergence scenarios generate their own
+	// schedule from the seed and ignore these; LinkFail is collective only.
 	DropEveryNData int                 `json:"drop_every_n_data,omitempty"`
 	LinkFail       *workload.LinkFault `json:"link_fail,omitempty"`
 }
@@ -188,164 +198,83 @@ func (s Scenario) Label() string {
 	}
 }
 
-// collectiveConfig lowers the scenario to the workload runner's config.
-func (s Scenario) collectiveConfig() workload.CollectiveConfig {
-	return workload.CollectiveConfig{
-		Seed:           s.Seed,
-		Shards:         s.Shards,
-		Pattern:        s.Pattern,
-		MessageBytes:   s.MessageBytes,
-		Leaves:         s.Leaves,
-		Spines:         s.Spines,
-		HostsPerLeaf:   s.HostsPerLeaf,
-		Bandwidth:      s.Bandwidth,
-		Groups:         s.Groups,
-		LB:             s.LB,
-		Transport:      s.Transport,
-		TI:             s.TI,
-		TD:             s.TD,
-		BurstBytes:     s.BurstBytes,
-		BufferBytes:    s.BufferBytes,
-		Horizon:        s.Horizon,
-		DisablePFC:     s.DisablePFC,
-		RTO:            s.RTO,
-		RTOBackoff:     s.RTOBackoff,
-		RTOMax:         s.RTOMax,
-		LossyControl:   s.LossyControl,
-		ThemisCfg:      s.Themis.coreConfig(),
-		DropEveryNData: s.DropEveryNData,
-		LinkFail:       s.LinkFail,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) motivationConfig() workload.MotivationConfig {
-	return workload.MotivationConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		MessageBytes: s.MessageBytes,
-		Transport:    s.Transport,
-		LB:           s.LB,
-		Horizon:      s.Horizon,
-		BurstBytes:   s.BurstBytes,
-		TI:           s.TI,
-		TD:           s.TD,
-		RTO:          s.RTO,
-		RTOBackoff:   s.RTOBackoff,
-		RTOMax:       s.RTOMax,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) incastConfig() workload.IncastConfig {
-	return workload.IncastConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		Senders:      s.Senders,
-		MessageBytes: s.MessageBytes,
-		Bandwidth:    s.Bandwidth,
-		LinkDelay:    s.LinkDelay,
-		BufferBytes:  s.BufferBytes,
-		LB:           s.LB,
-		DisablePFC:   s.DisablePFC,
-		Horizon:      s.Horizon,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) churnConfig() workload.ChurnConfig {
-	return workload.ChurnConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		LB:           s.LB,
-		RepsCache:    s.RepsCache,
-		PathBuckets:  s.PathBuckets,
-		Transport:    s.Transport,
-		QPs:          s.QPs,
-		Concurrency:  s.Concurrency,
-		MessageBytes: s.MessageBytes,
-		Faults:       s.Faults,
-		BurstBytes:   s.BurstBytes,
-		BufferBytes:  s.BufferBytes,
-		Horizon:      s.Horizon,
-		RTO:          s.RTO,
-		RTOBackoff:   s.RTOBackoff,
-		RTOMax:       s.RTOMax,
-		LossyControl: s.LossyControl,
-		ThemisCfg:    s.Themis.coreConfig(),
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) sprayConfig() workload.SprayConfig {
-	return workload.SprayConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		FatTreeK:     s.FatTreeK,
-		Bandwidth:    s.Bandwidth,
-		LinkDelay:    s.LinkDelay,
-		BufferBytes:  s.BufferBytes,
-		MessageBytes: s.MessageBytes,
-		BurstBytes:   s.BurstBytes,
-		LB:           s.LB,
-		RepsCache:    s.RepsCache,
-		PathBuckets:  s.PathBuckets,
-		DisablePFC:   s.DisablePFC,
-		Horizon:      s.Horizon,
-	}
-}
-
-func (s Scenario) chaosOptions() chaos.Options {
-	return chaos.Options{
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		Flows:        s.Flows,
-		MessageBytes: s.MessageBytes,
-		Horizon:      s.Horizon,
-
-		// LB is an arm only when explicitly armed (see Scenario.LBArmed);
-		// legacy chaos scenarios keep the harness default (Themis).
-		LB:          s.LB,
-		LBSet:       s.LBArmed,
-		RepsCache:   s.RepsCache,
-		PathBuckets: s.PathBuckets,
-	}
-}
-
-// convergenceOptions lowers a convergence scenario to the chaos harness. The
-// LB arm is explicit (LBSet) so an ECMP arm — the LBMode zero value — is not
-// silently replaced with the harness default.
-func (s Scenario) convergenceOptions() chaos.Options {
-	return chaos.Options{
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		Flows:        s.Flows,
-		MessageBytes: s.MessageBytes,
-		Horizon:      s.Horizon,
-
+// cluster lowers the scenario to the cluster description every workload
+// builds from. It is the only place a Scenario field is copied into a
+// ClusterConfig; each workload then applies its own defaults and pins (see
+// the Workload constants).
+func (s Scenario) cluster() workload.ClusterConfig {
+	return workload.ClusterConfig{
+		Seed:               s.Seed,
+		Shards:             s.Shards,
+		Leaves:             s.Leaves,
+		Spines:             s.Spines,
+		HostsPerLeaf:       s.HostsPerLeaf,
+		FatTreeK:           s.FatTreeK,
+		Bandwidth:          s.Bandwidth,
+		LinkDelay:          s.LinkDelay,
+		BufferBytes:        s.BufferBytes,
+		DisablePFC:         s.DisablePFC,
 		LB:                 s.LB,
-		LBSet:              true,
 		RepsCache:          s.RepsCache,
 		PathBuckets:        s.PathBuckets,
+		Transport:          s.Transport,
+		BurstBytes:         s.BurstBytes,
+		RTO:                s.RTO,
+		RTOBackoff:         s.RTOBackoff,
+		RTOMax:             s.RTOMax,
+		TI:                 s.TI,
+		TD:                 s.TD,
+		LossyControl:       s.LossyControl,
 		DistributedRouting: s.DistributedRouting,
 		ConvergenceDelay:   s.ConvergenceDelay,
+		DropEveryNData:     s.DropEveryNData,
+		ThemisCfg:          s.Themis.coreConfig(),
 	}
+}
+
+// The workload lowerings wrap the scenario's cluster with the workload's own
+// shape fields.
+
+func (s Scenario) motivation(c workload.ClusterConfig) workload.MotivationConfig {
+	return workload.MotivationConfig{ClusterConfig: c, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+func (s Scenario) collective(c workload.ClusterConfig) workload.CollectiveConfig {
+	return workload.CollectiveConfig{ClusterConfig: c, Pattern: s.Pattern, MessageBytes: s.MessageBytes,
+		Groups: s.Groups, Horizon: s.Horizon, LinkFail: s.LinkFail}
+}
+
+func (s Scenario) incast(c workload.ClusterConfig) workload.IncastConfig {
+	return workload.IncastConfig{ClusterConfig: c, Senders: s.Senders, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+func (s Scenario) churn(c workload.ClusterConfig) workload.ChurnConfig {
+	return workload.ChurnConfig{ClusterConfig: c, QPs: s.QPs, Concurrency: s.Concurrency,
+		MessageBytes: s.MessageBytes, Faults: s.Faults, Horizon: s.Horizon}
+}
+
+func (s Scenario) spray(c workload.ClusterConfig) workload.SprayConfig {
+	return workload.SprayConfig{ClusterConfig: c, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+// chaosOptions lowers a chaos or convergence scenario to the chaos harness.
+// The LB arm is explicit (LBSet) for every convergence scenario, so an ECMP
+// arm — the LBMode zero value — is not silently replaced with the harness
+// default; chaos scenarios arm it only with LBArmed.
+func (s Scenario) chaosOptions(c workload.ClusterConfig) chaos.Options {
+	return chaos.Options{ClusterConfig: c, LBSet: s.LBArmed || s.Workload == Convergence,
+		Flows: s.Flows, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+// faults generates the scenario's fault schedule on the probe topology: the
+// chaos generator, or the routing-focused one plus the optional drain.
+func (s Scenario) faults(t *topo.Topology) chaos.Scenario {
+	if s.Workload == Chaos {
+		return chaos.Generate(s.Seed, t)
+	}
+	csc := chaos.GenerateConvergence(s.Seed, t)
+	if s.Drain {
+		csc.Faults = append(csc.Faults, chaos.DrainFault(t))
+	}
+	return csc
 }

@@ -133,14 +133,17 @@ func RunObserved(sc Scenario, o Obs) (t Trial) {
 // hooks threaded through.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
+	fail := func(err error) Trial {
+		t.Err = err.Error()
+		return t
+	}
+	c := sc.cluster()
+	c.Tracer, c.Metrics = tr, reg
 	switch sc.Workload {
 	case Motivation:
-		cfg := sc.motivationConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunMotivation(cfg)
+		res, err := workload.RunMotivation(sc.motivation(c))
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.CompletionTime.Seconds() * 1e3
 		t.RetransRatio = res.AvgRetransRatio
@@ -149,12 +152,9 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Sender = res.Sender
 		t.Engine = res.Engine
 	case Collective:
-		cfg := sc.collectiveConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunCollective(cfg)
+		res, err := workload.RunCollective(sc.collective(c))
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.TailCCT.Seconds() * 1e3
 		t.RetransRatio = res.RetransRatio()
@@ -163,84 +163,41 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Net = res.Net
 		t.Engine = res.Engine
 	case Incast:
-		cfg := sc.incastConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunIncast(cfg)
+		res, err := workload.RunIncast(sc.incast(c))
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.CCT.Seconds() * 1e3
 		t.GoodputGbps = res.GoodputGbps
-		t.Sender = rnic.SenderStats{
-			Retransmits: res.Sender.Retransmits,
-			Timeouts:    res.Sender.Timeouts,
-			NacksRx:     res.Sender.NacksRx,
-		}
+		t.Sender = senderAgg(res.Sender)
 		t.Net.DataDrops = res.Drops
 		t.Engine = res.Engine
-	case Chaos:
-		opt := sc.chaosOptions()
-		opt.Tracer, opt.Metrics = tr, reg
+	case Chaos, Convergence:
+		opt := sc.chaosOptions(c)
 		// The fault generator needs the topology; probe-build the cluster
 		// once (cheap: no traffic runs on it).
 		probe, err := chaos.BuildCluster(chaos.Scenario{Seed: sc.Seed}, opt)
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
-		res, err := chaos.RunScenario(chaos.Generate(sc.Seed, probe.Topo), opt)
+		res, err := chaos.RunScenario(sc.faults(probe.Topo), opt)
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
-		t.Sender = res.Sender
-		t.Middleware = res.Middleware
-		t.Net = res.Net
-		t.Engine = res.Engine
-		t.Violations = res.Violations
-	case Convergence:
-		opt := sc.convergenceOptions()
-		opt.Tracer, opt.Metrics = tr, reg
-		probe, err := chaos.BuildCluster(chaos.Scenario{Seed: sc.Seed}, opt)
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		csc := chaos.GenerateConvergence(sc.Seed, probe.Topo)
-		if sc.Drain {
-			csc.Faults = append(csc.Faults, chaos.DrainFault(probe.Topo))
-		}
-		res, err := chaos.RunScenario(csc, opt)
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
+		t.RetransRatio = retransRatio(res.Sender)
 		t.Sender = res.Sender
 		t.Middleware = res.Middleware
 		t.Net = res.Net
 		t.Engine = res.Engine
 		t.Violations = res.Violations
 	case Churn:
-		cfg := sc.churnConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunChurn(cfg)
+		res, err := workload.RunChurn(sc.churn(c))
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
+		t.RetransRatio = retransRatio(res.Sender)
 		t.GoodputGbps = res.GoodputGbps
 		t.TableBytesPeak = res.MaxTableBytes
 		t.TableBudgetBytes = res.TableBudgetBytes
@@ -250,21 +207,12 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Engine = res.Engine
 		t.Violations = res.Violations
 	case Spray:
-		if tr != nil || reg != nil {
-			t.Err = "exp: spray does not support tracing or metrics (global observability state cannot span shards; see fabric.NewShardedNetwork)"
-			return t
-		}
-		res, err := workload.RunSpray(sc.sprayConfig())
+		res, err := workload.RunSpray(sc.spray(c))
 		if err != nil {
-			t.Err = err.Error()
-			return t
+			return fail(err)
 		}
 		t.CCTMillis = res.CCT.Seconds() * 1e3
-		t.Sender = rnic.SenderStats{
-			Retransmits: res.Sender.Retransmits,
-			Timeouts:    res.Sender.Timeouts,
-			NacksRx:     res.Sender.NacksRx,
-		}
+		t.Sender = senderAgg(res.Sender)
 		t.Net = res.Net
 		// Only the partition-invariant engine counters go into the artifact:
 		// the allocator fields (allocs, reuses, heap depth) depend on how the
@@ -278,4 +226,17 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Err = fmt.Sprintf("exp: unknown workload %q", sc.Workload)
 	}
 	return t
+}
+
+// retransRatio is retransmitted/total data packets (0 when nothing was sent).
+func retransRatio(st rnic.SenderStats) float64 {
+	if st.DataPackets == 0 {
+		return 0
+	}
+	return float64(st.Retransmits) / float64(st.DataPackets)
+}
+
+// senderAgg widens the incast/spray sender aggregate to the trial's block.
+func senderAgg(a workload.SenderAgg) rnic.SenderStats {
+	return rnic.SenderStats{Retransmits: a.Retransmits, Timeouts: a.Timeouts, NacksRx: a.NacksRx}
 }

@@ -6,11 +6,9 @@ import (
 
 	"themis/internal/core"
 	"themis/internal/fabric"
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
-	"themis/internal/trace"
 )
 
 // ChurnConfig parameterizes the flow-churn workload: a stream of short-lived
@@ -18,19 +16,11 @@ import (
 // and optionally more concurrently — than a budgeted Themis flow table can
 // hold. It is the workload the §4 lifecycle layer exists for: production
 // clusters see millions of short-lived QPs, not a fixed set sized to SRAM.
+// The embedded ClusterConfig defaults to the chaos harness's 3×3 leaf-spine
+// with 2 hosts per leaf at 100 Gbps, and to exponential RTO backoff (200 us
+// doubling up to 10 ms).
 type ChurnConfig struct {
-	Seed int64
-
-	// Topology (defaults: the chaos harness's 3×3 leaf-spine, 2 hosts per
-	// leaf, 100 Gbps).
-	Leaves, Spines, HostsPerLeaf int
-	Bandwidth                    int64
-
-	// Arms.
-	LB          LBMode
-	RepsCache   int // REPS ring capacity (LB == REPS; 0 = default)
-	PathBuckets int // congestion-aware entropy buckets (LB == CongestionAware; 0 = default)
-	Transport rnic.Transport
+	ClusterConfig
 
 	// Churn shape: QPs flows are opened over the run, Concurrency at a time;
 	// each transfers MessageBytes then closes, and its slot opens the next
@@ -44,23 +34,7 @@ type ChurnConfig struct {
 	// while flows are being opened and closed.
 	Faults bool
 
-	// Mechanics.
-	BurstBytes   int
-	BufferBytes  int
-	Horizon      sim.Duration // wall guard (default 2 s virtual)
-	Shards       int          // drive via the shard coordinator (see ClusterConfig.Shards)
-	RTO          sim.Duration
-	RTOBackoff   float64
-	RTOMax       sim.Duration
-	LossyControl bool
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	ThemisCfg          core.Config
-
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
+	Horizon sim.Duration // wall guard (default 2 s virtual)
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -102,6 +76,10 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	}
 	return c
 }
+
+// Cluster returns the cluster RunChurn builds: the embedded config with the
+// churn defaults applied.
+func (c ChurnConfig) Cluster() ClusterConfig { return c.withDefaults().ClusterConfig }
 
 // ChurnResult is the outcome of one churn run.
 type ChurnResult struct {
@@ -223,29 +201,7 @@ func scheduleChurnFaults(cl *Cluster, cfg ChurnConfig) {
 // compensation outlives the run.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg = cfg.withDefaults()
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             cfg.Leaves,
-		Spines:             cfg.Spines,
-		HostsPerLeaf:       cfg.HostsPerLeaf,
-		Bandwidth:          cfg.Bandwidth,
-		LB:                 cfg.LB,
-		RepsCache:          cfg.RepsCache,
-		PathBuckets:        cfg.PathBuckets,
-		Transport:          cfg.Transport,
-		BurstBytes:         cfg.BurstBytes,
-		BufferBytes:        cfg.BufferBytes,
-		RTO:                cfg.RTO,
-		RTOBackoff:         cfg.RTOBackoff,
-		RTOMax:             cfg.RTOMax,
-		LossyControl:       cfg.LossyControl,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		ThemisCfg:          cfg.ThemisCfg,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,9 @@ func (m LBMode) String() string {
 	}
 }
 
-// ClusterConfig describes one simulated cluster.
+// ClusterConfig describes one simulated cluster. It is the only cluster
+// description: every workload config embeds it and adds its own shape
+// fields, defaults and pins.
 type ClusterConfig struct {
 	Seed int64
 
@@ -271,24 +273,76 @@ type Cluster struct {
 	group *sim.ShardGroup
 }
 
+// topology builds the configured fabric: leaf-spine unless FatTreeK > 0.
+func (c ClusterConfig) topology() (*topo.Topology, error) {
+	link := topo.LinkSpec{Bandwidth: c.Bandwidth, Delay: c.LinkDelay}
+	if c.FatTreeK > 0 {
+		return topo.NewFatTree(topo.FatTreeConfig{K: c.FatTreeK, HostLink: link, FabricLink: link})
+	}
+	return topo.NewLeafSpine(topo.LeafSpineConfig{
+		Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
+		HostLink: link, FabricLink: link,
+	})
+}
+
+// fabricConfig lowers the switch half of the cluster. The packet pool is left
+// to the caller: a classic network shares one with the NICs, a sharded
+// network owns one per shard.
+func (c ClusterConfig) fabricConfig() fabric.Config {
+	fcfg := fabric.Config{
+		BufferBytes:     c.BufferBytes,
+		ControlLossless: !c.LossyControl,
+		NewDataSelector: c.selector(),
+		Tracer:          c.Tracer,
+		Metrics:         c.Metrics,
+	}
+	if c.DistributedRouting {
+		fcfg.Routing = route.Config{Mode: route.Distributed, PerHopDelay: c.ConvergenceDelay}
+	}
+	if !c.DisableECN {
+		fcfg.ECN = fabric.DefaultECN(c.Bandwidth)
+	}
+	if !c.DisablePFC {
+		fcfg.PFC = fabric.DefaultPFC(c.Bandwidth)
+	}
+	if n := c.DropEveryNData; n > 0 {
+		count := 0
+		fcfg.LossFunc = func(*packet.Packet, int, int) bool {
+			count++
+			return count%n == 0
+		}
+	}
+	return fcfg
+}
+
+// nicConfig lowers the NIC half of the cluster, including the sender-side
+// entropy wiring of the spraying arms. The packet pool is left to the caller
+// (see fabricConfig).
+func (c ClusterConfig) nicConfig() rnic.Config {
+	ncfg := rnic.Config{
+		MTU:        c.MTU,
+		Transport:  c.Transport,
+		LineRate:   c.Bandwidth,
+		DisableCC:  c.DisableCC,
+		RTO:        c.RTO,
+		RTOBackoff: c.RTOBackoff,
+		RTOMax:     c.RTOMax,
+		AckEvery:   c.AckEvery,
+		BurstBytes: c.BurstBytes,
+		Metrics:    c.Metrics,
+	}
+	ncfg.CC.LineRate = c.Bandwidth
+	ncfg.CC.TI = c.TI
+	ncfg.CC.TD = c.TD
+	ncfg.CC.NackFactor = c.NackFactor
+	c.entropyWiring(&ncfg)
+	return ncfg
+}
+
 // BuildCluster assembles a cluster from the configuration.
 func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	var t *topo.Topology
-	var err error
-	if cfg.FatTreeK > 0 {
-		t, err = topo.NewFatTree(topo.FatTreeConfig{
-			K:          cfg.FatTreeK,
-			HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-			FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		})
-	} else {
-		t, err = topo.NewLeafSpine(topo.LeafSpineConfig{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-			FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		})
-	}
+	t, err := cfg.topology()
 	if err != nil {
 		return nil, err
 	}
@@ -297,31 +351,9 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	// on it can share the free list. The fabric recycles packets at their
 	// terminals; NICs and Themis draw replacements from the same pool.
 	pool := packet.NewPool()
-	fcfg := fabric.Config{
-		BufferBytes:     cfg.BufferBytes,
-		ControlLossless: !cfg.LossyControl,
-		NewDataSelector: cfg.selector(),
-		Tracer:          cfg.Tracer,
-		Pool:            pool,
-		Metrics:         cfg.Metrics,
-	}
-	if cfg.DistributedRouting {
-		fcfg.Routing = route.Config{Mode: route.Distributed, PerHopDelay: cfg.ConvergenceDelay}
-	}
-	if !cfg.DisableECN {
-		fcfg.ECN = fabric.DefaultECN(cfg.Bandwidth)
-	}
-	if !cfg.DisablePFC {
-		fcfg.PFC = fabric.DefaultPFC(cfg.Bandwidth)
-	}
+	fcfg := cfg.fabricConfig()
+	fcfg.Pool = pool
 	net := fabric.NewNetwork(engine, t, fcfg)
-	if n := cfg.DropEveryNData; n > 0 {
-		count := 0
-		net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
-			count++
-			return count%n == 0
-		})
-	}
 
 	cl := &Cluster{
 		Config:      cfg,
@@ -341,24 +373,8 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.group = sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
 	}
 
-	ncfg := rnic.Config{
-		MTU:        cfg.MTU,
-		Transport:  cfg.Transport,
-		LineRate:   cfg.Bandwidth,
-		DisableCC:  cfg.DisableCC,
-		RTO:        cfg.RTO,
-		RTOBackoff: cfg.RTOBackoff,
-		RTOMax:     cfg.RTOMax,
-		AckEvery:   cfg.AckEvery,
-		BurstBytes: cfg.BurstBytes,
-		Pool:       pool,
-		Metrics:    cfg.Metrics,
-	}
-	ncfg.CC.LineRate = cfg.Bandwidth
-	ncfg.CC.TI = cfg.TI
-	ncfg.CC.TD = cfg.TD
-	ncfg.CC.NackFactor = cfg.NackFactor
-	cfg.entropyWiring(&ncfg)
+	ncfg := cfg.nicConfig()
+	ncfg.Pool = pool
 	for h := 0; h < t.NumHosts(); h++ {
 		id := packet.NodeID(h)
 		nic := rnic.New(engine, id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })

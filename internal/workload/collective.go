@@ -6,59 +6,28 @@ import (
 	"themis/internal/collective"
 	"themis/internal/core"
 	"themis/internal/fabric"
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
-	"themis/internal/trace"
 )
 
 // CollectiveConfig parameterizes the §5 evaluation (Fig. 5): synchronized
-// collective communication across groups that each span all racks.
+// collective communication across groups that each span all racks. The
+// embedded ClusterConfig describes the fabric (defaults: the paper's 16×16
+// leaf-spine at 400 Gbps with 16 hosts per leaf = 256 NICs); it must be a
+// leaf-spine, since groups are built from racks.
 type CollectiveConfig struct {
-	Seed    int64
+	ClusterConfig
 	Pattern collective.Pattern
 	// MessageBytes is the per-group collective size S (paper: 300 MB).
 	MessageBytes int64
-	// Topology (defaults: the paper's 16×16 leaf-spine at 400 Gbps with 16
-	// hosts per leaf = 256 NICs).
-	Leaves, Spines, HostsPerLeaf int
-	Bandwidth                    int64
 	// Groups is the number of communication groups; group g consists of
 	// host g of every leaf, so every group spans all racks and GroupSize ==
 	// Leaves. Defaults to HostsPerLeaf (every NIC participates).
-	Groups int
-	// Experiment arms.
-	LB        LBMode
-	Transport rnic.Transport
-	TI, TD    sim.Duration // DCQCN sweep knobs
-	// Mechanics.
-	BurstBytes  int
-	BufferBytes int          // switch shared buffer (default 64 MB)
-	Shards      int          // drive via the shard coordinator (see ClusterConfig.Shards)
-	Horizon     sim.Duration // simulation cap (default 30 s)
-	DisablePFC  bool         // run a lossy fabric (PFC is on by default)
-	// Transport recovery knobs (see rnic.Config).
-	RTO        sim.Duration
-	RTOBackoff float64
-	RTOMax     sim.Duration
-	// LossyControl drops ACK/NACK/CNP like data (robustness experiments).
-	LossyControl bool
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	ThemisCfg          core.Config
-	// DropEveryNData, if positive, drops every Nth data packet at switch
-	// egress (loss ablations; see ClusterConfig.DropEveryNData).
-	DropEveryNData int
+	Groups  int
+	Horizon sim.Duration // simulation cap (default 30 s)
 	// LinkFail, if non-nil, takes one switch port down mid-run (§5.3).
 	LinkFail *LinkFault
-	// Tracer, if non-nil, records packet and middleware events (observability
-	// harness; not part of the serialized scenario).
-	Tracer *trace.Tracer `json:"-"`
-	// Metrics, if non-nil, is the shared metrics registry (see internal/obs).
-	Metrics *obs.Registry `json:"-"`
 }
 
 // LinkFault declaratively describes a single link failure: switch Switch's
@@ -83,9 +52,6 @@ func (c CollectiveConfig) withDefaults() CollectiveConfig {
 	if c.HostsPerLeaf == 0 {
 		c.HostsPerLeaf = 16
 	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 400e9
-	}
 	if c.Groups == 0 {
 		c.Groups = c.HostsPerLeaf
 	}
@@ -94,6 +60,10 @@ func (c CollectiveConfig) withDefaults() CollectiveConfig {
 	}
 	return c
 }
+
+// Cluster returns the cluster RunCollective builds: the embedded config with
+// the collective defaults applied.
+func (c CollectiveConfig) Cluster() ClusterConfig { return c.withDefaults().ClusterConfig }
 
 // CollectiveResult carries one Fig. 5 data point.
 type CollectiveResult struct {
@@ -138,31 +108,10 @@ func RunCollective(cfg CollectiveConfig) (*CollectiveResult, error) {
 	if cfg.Groups > cfg.HostsPerLeaf {
 		return nil, fmt.Errorf("workload: %d groups need at most HostsPerLeaf=%d", cfg.Groups, cfg.HostsPerLeaf)
 	}
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             cfg.Leaves,
-		Spines:             cfg.Spines,
-		HostsPerLeaf:       cfg.HostsPerLeaf,
-		Bandwidth:          cfg.Bandwidth,
-		LB:                 cfg.LB,
-		Transport:          cfg.Transport,
-		TI:                 cfg.TI,
-		TD:                 cfg.TD,
-		BurstBytes:         cfg.BurstBytes,
-		BufferBytes:        cfg.BufferBytes,
-		DisablePFC:         cfg.DisablePFC,
-		RTO:                cfg.RTO,
-		RTOBackoff:         cfg.RTOBackoff,
-		RTOMax:             cfg.RTOMax,
-		LossyControl:       cfg.LossyControl,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		ThemisCfg:          cfg.ThemisCfg,
-		DropEveryNData:     cfg.DropEveryNData,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	if cfg.FatTreeK > 0 {
+		return nil, fmt.Errorf("workload: collective groups are leaf-spine racks; FatTreeK=%d is not supported", cfg.FatTreeK)
+	}
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,8 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/sim"
-	"themis/internal/trace"
 )
 
 // IncastConfig parameterizes a many-to-one stress test: every other host
@@ -14,26 +12,15 @@ import (
 // paper's headline workloads but is the regime that stresses two substrate
 // properties Themis relies on: PFC's losslessness (drops would turn every
 // blocked NACK into a compensation or timeout) and the strict-priority
-// control class (NACK return latency bounds the §3.3 ring sizing).
+// control class (NACK return latency bounds the §3.3 ring sizing). The
+// embedded ClusterConfig describes everything but the topology, which is
+// pinned to one host per rack (Senders+1 leaves and spines, no fat-tree);
+// Bandwidth defaults to 100 Gbps.
 type IncastConfig struct {
-	Seed         int64
+	ClusterConfig
 	Senders      int   // fan-in degree (default 15)
 	MessageBytes int64 // per sender (default 2 MB)
-	Bandwidth    int64 // default 100 Gbps
-	LinkDelay    sim.Duration
-	BufferBytes  int // switch shared buffer (default 64 MB)
-	LB           LBMode
-	DisablePFC   bool
 	Horizon      sim.Duration
-	Shards       int // drive via the shard coordinator (see ClusterConfig.Shards)
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	// Tracer/Metrics hook up the observability harness (see internal/obs);
-	// not part of the serialized scenario.
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
 }
 
 func (c IncastConfig) withDefaults() IncastConfig {
@@ -49,8 +36,14 @@ func (c IncastConfig) withDefaults() IncastConfig {
 	if c.Horizon == 0 {
 		c.Horizon = 30 * sim.Second
 	}
+	// Pinned: each sender on its own rack so every flow crosses the fabric.
+	c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = c.Senders+1, c.Senders+1, 1, 0
 	return c
 }
+
+// Cluster returns the cluster RunIncast builds: the embedded config with the
+// incast defaults and the pinned one-host-per-rack fabric applied.
+func (c IncastConfig) Cluster() ClusterConfig { return c.withDefaults().ClusterConfig }
 
 // IncastResult carries the incast measurements.
 type IncastResult struct {
@@ -70,26 +63,11 @@ type SenderAgg struct {
 	NacksRx     uint64
 }
 
-// RunIncast places each sender on its own rack (Senders+1 leaves, one host
-// each) so every flow crosses the fabric, then blasts them all at host 0.
+// RunIncast places each sender on its own rack (see IncastConfig), then
+// blasts them all at host 0.
 func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 	cfg = cfg.withDefaults()
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             cfg.Senders + 1,
-		Spines:             cfg.Senders + 1,
-		HostsPerLeaf:       1,
-		Bandwidth:          cfg.Bandwidth,
-		LinkDelay:          cfg.LinkDelay,
-		BufferBytes:        cfg.BufferBytes,
-		LB:                 cfg.LB,
-		DisablePFC:         cfg.DisablePFC,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -3,52 +3,39 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/stats"
-	"themis/internal/trace"
 )
 
 // MotivationConfig parameterizes the §2.2 motivation experiment (Fig. 1):
 // eight nodes in two 4-node ring groups over a 100 Gbps leaf-spine fabric,
 // random packet spraying, each node sending MessageBytes to the next node of
-// its group.
+// its group. The embedded ClusterConfig carries the arms (Transport: NIC-SR
+// by default, Ideal for the Fig. 1d bound; LB: RandomSpray when left at
+// ECMP) and the transport knobs; the fabric is pinned to the paper's 4×4×2
+// leaf-spine at 100 Gbps whatever the embedded topology fields say.
+//
+// TI/TD default to the classic DCQCN values (55 us fast-recovery timer, 50
+// us rate-reduce gate [41]): the Fig. 1c sawtooth (drops to ~50-90% with
+// quick recovery, averaging ~86% of line rate) requires cuts to be
+// rate-limited and recovery to be fast; Fig. 5 separately sweeps these knobs.
 type MotivationConfig struct {
-	Seed         int64
-	MessageBytes int64          // default 100 MB (the paper's size)
-	Transport    rnic.Transport // NIC-SR (default) or Ideal for the Fig. 1d bound
-	LB           LBMode         // default RandomSpray (the paper's motivation LB)
-	Window       sim.Duration   // meter window for time series (default 100 us)
-	SampleEvery  sim.Duration   // rate sampling period (default 10 us)
-	Horizon      sim.Duration   // simulation cap (default 10 s)
-	Shards       int            // drive via the shard coordinator (see ClusterConfig.Shards)
-	BurstBytes   int            // pacer burst (default 16 KB)
-	// TI/TD are the DCQCN rate-increase timer and minimum decrease
-	// interval. The motivation study defaults to the classic DCQCN values
-	// (55 us fast-recovery timer, 50 us rate-reduce gate [41]) — the Fig. 1c
-	// sawtooth (drops to ~50-90% with quick recovery, averaging ~86% of
-	// line rate) requires cuts to be rate-limited and recovery to be fast;
-	// Fig. 5 separately sweeps these knobs.
-	TI, TD sim.Duration
-	// NackFactor overrides the DCQCN NACK-cut factor (0 = cc default).
-	NackFactor float64
-	// Transport recovery knobs (see rnic.Config).
-	RTO        sim.Duration
-	RTOBackoff float64
-	RTOMax     sim.Duration
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	// Tracer/Metrics hook up the observability harness (see internal/obs);
-	// not part of the serialized scenario.
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
+	ClusterConfig
+	MessageBytes int64        // default 100 MB (the paper's size)
+	Window       sim.Duration // meter window for time series (default 100 us)
+	SampleEvery  sim.Duration // rate sampling period (default 10 us)
+	Horizon      sim.Duration // simulation cap (default 10 s)
 }
 
 func (c MotivationConfig) withDefaults() MotivationConfig {
+	// Pinned: the paper's 4×4×2 fabric at 100 Gbps.
+	c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = 4, 4, 2, 0
+	c.Bandwidth = 100e9
+	if c.LB == ECMP {
+		c.LB = RandomSpray // the motivation study's default arm
+	}
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 100 << 20
 	}
@@ -69,6 +56,10 @@ func (c MotivationConfig) withDefaults() MotivationConfig {
 	}
 	return c
 }
+
+// Cluster returns the cluster RunMotivation builds: the embedded config with
+// the motivation defaults and the pinned fabric applied.
+func (c MotivationConfig) Cluster() ClusterConfig { return c.withDefaults().ClusterConfig }
 
 // MotivationResult carries the Fig. 1 measurements.
 type MotivationResult struct {
@@ -111,31 +102,7 @@ func MotivationFlows() [][2]packet.NodeID {
 // RunMotivation executes the Fig. 1 experiment and returns its measurements.
 func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 	cfg = cfg.withDefaults()
-	lbMode := cfg.LB
-	if lbMode == ECMP {
-		lbMode = RandomSpray // the motivation study's default arm
-	}
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             4,
-		Spines:             4,
-		HostsPerLeaf:       2,
-		Bandwidth:          100e9,
-		LB:                 lbMode,
-		Transport:          cfg.Transport,
-		BurstBytes:         cfg.BurstBytes,
-		TI:                 cfg.TI,
-		TD:                 cfg.TD,
-		NackFactor:         cfg.NackFactor,
-		RTO:                cfg.RTO,
-		RTOBackoff:         cfg.RTOBackoff,
-		RTOMax:             cfg.RTOMax,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -23,44 +23,32 @@ func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 // shard carries an equal slice. This is the workload that genuinely exercises
 // the sharded engine — the legacy Cluster workloads have global drivers and
 // pin themselves to one shard (see ClusterConfig.Shards).
+//
+// The embedded ClusterConfig describes the fabric and NICs the same way it
+// does for BuildCluster, with three differences: the topology is always a
+// fat-tree (FatTreeK, default 4; the leaf-spine fields are ignored),
+// Bandwidth defaults to 100 Gbps, and Shards is the number of space-parallel
+// shards (default 1) — the result is byte-identical for every legal value,
+// the determinism contract TestSprayShardInvariance enforces. Settings the
+// sharded network cannot honour (the Themis arm, a tracer or metrics
+// registry, DropEveryNData, distributed routing) fail the run with an error.
 type SprayConfig struct {
-	Seed         int64
-	FatTreeK     int          // default 4
-	Bandwidth    int64        // default 100 Gbps
-	LinkDelay    sim.Duration // default 1 us
-	BufferBytes  int          // switch shared buffer (default 64 MB)
+	ClusterConfig
 	MessageBytes int64        // per host (default 1 MB)
-	BurstBytes   int          // NIC pacer burst (default: ClusterConfig default)
-	LB           LBMode       // any non-Themis arm (incl. REPS / CongestionAware)
-	RepsCache    int          // REPS ring capacity (LB == REPS; 0 = default)
-	PathBuckets  int          // congestion-aware entropy buckets (0 = default)
-	DisablePFC   bool
-	DisableECN   bool
-	// Shards is the number of space-parallel shards (default 1). The result
-	// is byte-identical for every legal value — that is the determinism
-	// contract TestSprayShardInvariance enforces.
-	Shards  int
-	Horizon sim.Duration // default 30 s
+	Horizon      sim.Duration // default 30 s
 }
 
 func (c SprayConfig) withDefaults() SprayConfig {
+	// Pinned: the permutation runs on a fat-tree only.
+	c.Leaves, c.Spines, c.HostsPerLeaf = 0, 0, 0
 	if c.FatTreeK == 0 {
 		c.FatTreeK = 4
 	}
 	if c.Bandwidth == 0 {
 		c.Bandwidth = 100e9
 	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = sim.Microsecond
-	}
-	if c.BufferBytes == 0 {
-		c.BufferBytes = 64 << 20
-	}
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 1 << 20
-	}
-	if c.BurstBytes == 0 {
-		c.BurstBytes = 16 << 10
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -68,8 +56,13 @@ func (c SprayConfig) withDefaults() SprayConfig {
 	if c.Horizon == 0 {
 		c.Horizon = 30 * sim.Second
 	}
+	c.ClusterConfig = c.ClusterConfig.withDefaults()
 	return c
 }
+
+// Cluster returns the cluster RunSpray builds: the embedded config with the
+// spray and cluster defaults applied.
+func (c SprayConfig) Cluster() ClusterConfig { return c.withDefaults().ClusterConfig }
 
 // SprayResult carries the permutation measurements.
 type SprayResult struct {
@@ -92,11 +85,7 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 	if cfg.LB == Themis {
 		return nil, fmt.Errorf("workload: spray does not support the Themis pipeline yet (core wiring is classic-engine only)")
 	}
-	t, err := topo.NewFatTree(topo.FatTreeConfig{
-		K:          cfg.FatTreeK,
-		HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-	})
+	t, err := cfg.topology()
 	if err != nil {
 		return nil, err
 	}
@@ -114,46 +103,23 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 	}
 	group := sim.NewShardGroup(engines, la)
 
-	// The selector and the sender-side entropy wiring share one lowered
-	// ClusterConfig so the switch MarkBytes knee and the NIC bucket counts
-	// stay consistent with the single-shard cluster path.
-	lcfg := ClusterConfig{
-		LB:          cfg.LB,
-		Bandwidth:   cfg.Bandwidth,
-		RepsCache:   cfg.RepsCache,
-		PathBuckets: cfg.PathBuckets,
-	}.withDefaults()
-	fcfg := fabric.Config{
-		BufferBytes:     cfg.BufferBytes,
-		ControlLossless: true,
-		NewDataSelector: lcfg.selector(),
-	}
-	if !cfg.DisableECN {
-		fcfg.ECN = fabric.DefaultECN(cfg.Bandwidth)
-	}
-	if !cfg.DisablePFC {
-		fcfg.PFC = fabric.DefaultPFC(cfg.Bandwidth)
-	}
-	net, err := fabric.NewShardedNetwork(group, t, part, cfg.Seed, fcfg)
+	// The sharded network refuses what it cannot partition (tracing,
+	// metrics, loss hooks, distributed routing) with an error.
+	net, err := fabric.NewShardedNetwork(group, t, part, cfg.Seed, cfg.fabricConfig())
 	if err != nil {
 		return nil, err
 	}
 
 	h2 := t.NumHosts()
 	nics := make([]*rnic.NIC, h2)
+	// Per-sender entropy state lives on the sender's own shard and is a pure
+	// function of its transport feedback, so the spraying arms stay
+	// shard-invariant.
+	ncfg := cfg.nicConfig()
 	for h := 0; h < h2; h++ {
 		id := packet.NodeID(h)
 		shard := part.HostShard[h]
-		ncfg := rnic.Config{
-			MTU:        packet.DefaultMTU,
-			LineRate:   cfg.Bandwidth,
-			BurstBytes: cfg.BurstBytes,
-			Pool:       net.ShardPool(shard),
-		}
-		// Per-sender entropy state lives on the sender's own shard and is a
-		// pure function of its transport feedback, so the spraying arms stay
-		// shard-invariant.
-		lcfg.entropyWiring(&ncfg)
+		ncfg.Pool = net.ShardPool(shard)
 		nic := rnic.New(group.Shard(shard), id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })
 		net.AttachHost(id, nic.HandlePacket)
 		nics[h] = nic

@@ -21,10 +21,8 @@ func normalizeEngine(m sim.Metrics) sim.Metrics {
 func TestSprayShardInvariance(t *testing.T) {
 	for _, lbm := range []LBMode{ECMP, RandomSpray} {
 		base := SprayConfig{
-			Seed:         7,
-			FatTreeK:     4,
-			MessageBytes: 64 << 10,
-			LB:           lbm,
+			ClusterConfig: ClusterConfig{Seed: 7, FatTreeK: 4, LB: lbm},
+			MessageBytes:  64 << 10,
 		}
 		base.Shards = 1
 		ref, err := RunSpray(base)
@@ -63,7 +61,10 @@ func TestSprayShardInvariance(t *testing.T) {
 }
 
 func TestSprayCompletes(t *testing.T) {
-	res, err := RunSpray(SprayConfig{Seed: 1, FatTreeK: 4, MessageBytes: 32 << 10, LB: RandomSpray, Shards: 2})
+	res, err := RunSpray(SprayConfig{
+		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 4, LB: RandomSpray, Shards: 2},
+		MessageBytes:  32 << 10,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSprayCompletes(t *testing.T) {
 }
 
 func TestSprayRejectsThemisLB(t *testing.T) {
-	if _, err := RunSpray(SprayConfig{Seed: 1, LB: Themis}); err == nil {
+	if _, err := RunSpray(SprayConfig{ClusterConfig: ClusterConfig{Seed: 1, LB: Themis}}); err == nil {
 		t.Fatal("Themis LB accepted on the sharded spray path")
 	}
 }
@@ -92,11 +93,8 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4"}[shards], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := RunSpray(SprayConfig{
-					Seed:         11,
-					FatTreeK:     8,
-					MessageBytes: 128 << 10,
-					LB:           RandomSpray,
-					Shards:       shards,
+					ClusterConfig: ClusterConfig{Seed: 11, FatTreeK: 8, LB: RandomSpray, Shards: shards},
+					MessageBytes:  128 << 10,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -143,7 +143,7 @@ func TestMotivationFlows(t *testing.T) {
 }
 
 func TestRunMotivationSmall(t *testing.T) {
-	res, err := RunMotivation(MotivationConfig{Seed: 3, MessageBytes: 2 << 20})
+	res, err := RunMotivation(MotivationConfig{ClusterConfig: ClusterConfig{Seed: 3}, MessageBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,14 @@ func TestRunMotivationSmall(t *testing.T) {
 }
 
 func TestRunMotivationIdealBeatsNICSR(t *testing.T) {
-	nicsr, err := RunMotivation(MotivationConfig{Seed: 3, MessageBytes: 2 << 20})
+	nicsr, err := RunMotivation(MotivationConfig{ClusterConfig: ClusterConfig{Seed: 3}, MessageBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := RunMotivation(MotivationConfig{Seed: 3, MessageBytes: 2 << 20, Transport: rnic.Ideal})
+	ideal, err := RunMotivation(MotivationConfig{
+		ClusterConfig: ClusterConfig{Seed: 3, Transport: rnic.Ideal},
+		MessageBytes:  2 << 20,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +193,17 @@ func TestRunMotivationIdealBeatsNICSR(t *testing.T) {
 
 func smallCollective(pattern collective.Pattern, lb LBMode, seed int64) CollectiveConfig {
 	return CollectiveConfig{
-		Seed:         seed,
+		ClusterConfig: ClusterConfig{
+			Seed:         seed,
+			Leaves:       4,
+			Spines:       4,
+			HostsPerLeaf: 4,
+			Bandwidth:    100e9,
+			LB:           lb,
+		},
 		Pattern:      pattern,
 		MessageBytes: 1 << 20,
-		Leaves:       4,
-		Spines:       4,
-		HostsPerLeaf: 4,
-		Bandwidth:    100e9,
 		Groups:       4,
-		LB:           lb,
 	}
 }
 
@@ -440,7 +445,10 @@ func TestClusterTracing(t *testing.T) {
 }
 
 func TestRunIncastLossless(t *testing.T) {
-	res, err := RunIncast(IncastConfig{Seed: 2, Senders: 8, MessageBytes: 1 << 20, LB: Themis})
+	res, err := RunIncast(IncastConfig{
+		ClusterConfig: ClusterConfig{Seed: 2, LB: Themis},
+		Senders:       8, MessageBytes: 1 << 20,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +474,11 @@ func TestRunIncastLossyVsLossless(t *testing.T) {
 	// With a shallow buffer and a long feedback loop, only PFC prevents the
 	// pre-CNP burst from overflowing.
 	base := IncastConfig{
-		Seed: 2, Senders: 12, MessageBytes: 1 << 20, LB: Themis,
-		BufferBytes: 4 << 20, LinkDelay: 5 * sim.Microsecond,
+		ClusterConfig: ClusterConfig{
+			Seed: 2, LB: Themis,
+			BufferBytes: 4 << 20, LinkDelay: 5 * sim.Microsecond,
+		},
+		Senders: 12, MessageBytes: 1 << 20,
 	}
 	lossless, err := RunIncast(base)
 	if err != nil {

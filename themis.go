@@ -12,13 +12,19 @@
 // The package re-exports the experiment harness used to regenerate every
 // figure and table of the paper:
 //
-//	res, err := themis.RunMotivation(themis.MotivationConfig{Seed: 1})   // Fig. 1
-//	res, err := themis.RunCollective(themis.CollectiveConfig{...})       // Fig. 5
+//	res, err := themis.RunMotivation(themis.MotivationConfig{            // Fig. 1
+//		ClusterConfig: themis.ClusterConfig{Seed: 1},
+//	})
+//	res, err := themis.RunCollective(themis.CollectiveConfig{            // Fig. 5
+//		ClusterConfig: themis.ClusterConfig{Seed: 1, LB: themis.Themis},
+//		Pattern:       themis.Allreduce,
+//	})
 //	fmt.Print(themis.MemoryModel().Report())                             // Table 1 / §4
 //
-// Lower-level building blocks (the simulator, fabric, RNIC models and the
-// middleware itself) live under internal/ and are wired together by
-// BuildCluster for custom experiments.
+// Every experiment config embeds the one ClusterConfig that describes a
+// simulated cluster. Lower-level building blocks (the simulator, fabric,
+// RNIC models and the middleware itself) live under internal/ and are wired
+// together by BuildCluster for custom experiments.
 package themis
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFacadeMotivation(t *testing.T) {
-	res, err := themis.RunMotivation(themis.MotivationConfig{Seed: 1, MessageBytes: 1 << 20})
+	res, err := themis.RunMotivation(themis.MotivationConfig{ClusterConfig: themis.ClusterConfig{Seed: 1}, MessageBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,9 +19,11 @@ func TestFacadeMotivation(t *testing.T) {
 
 func TestFacadeCollective(t *testing.T) {
 	res, err := themis.RunCollective(themis.CollectiveConfig{
-		Seed: 1, Pattern: themis.Allreduce, MessageBytes: 1 << 20,
-		Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9, Groups: 2,
-		LB: themis.Themis,
+		ClusterConfig: themis.ClusterConfig{
+			Seed: 1, Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9,
+			LB: themis.Themis,
+		},
+		Pattern: themis.Allreduce, MessageBytes: 1 << 20, Groups: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
